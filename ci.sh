@@ -27,6 +27,15 @@ cargo run --release -p bench --bin simperf -- --check
 echo "== simperf allocation gate (counting allocator) =="
 cargo run --release -p bench --features simperf-alloc --bin simperf -- --check
 
+echo "== perfbench smoke (benchmark output checks) =="
+# perfbench/ is its own Cargo workspace, so the workspace build above never
+# compiles it. One short cell950 command builds it and runs the benchmark's
+# own output checks (log counts match cell counters, every issued op class
+# completes, a rerun of a seed reproduces its latency stream); a failed
+# check exits nonzero. Host metrics are printed, not gated.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload cell950 --seconds 5 --trace 0
+
 echo "== chaos smoke + fault-layer zero-impact gate =="
 # The chaos experiment must be reproducible: two seeded runs, byte-identical
 # CSVs. And the fault layer must be invisible when no FaultPlan is

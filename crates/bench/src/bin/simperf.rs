@@ -70,6 +70,15 @@ mod counting_alloc {
             System.alloc(layout)
         }
 
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // Counted like `alloc`, but forwarded so `System` can hand out
+            // fresh (calloc'd) pages untouched: the default implementation
+            // would memset them and make every zeroed region resident.
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            System.alloc_zeroed(layout)
+        }
+
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             System.dealloc(ptr, layout)
         }
@@ -123,9 +132,14 @@ struct Sample {
     /// `Pending` boxes sitting in the simulator freelist at end of run —
     /// the steady-state working set the pool is amortizing.
     pool_len: u64,
-    /// Process peak RSS in bytes after this workload (Linux `VmHWM`).
-    /// Process-wide and monotone, so workloads later in the list inherit
-    /// earlier peaks; the first cell to spike is the one that moves it.
+    /// Peak RSS in bytes while this workload ran (Linux `VmHWM`, reset
+    /// before its first rep). The floor is the RSS the process held when
+    /// the workload started, which includes heap kept from earlier ones.
+    /// It can exceed a fresh process's peak: after the first rep frees its
+    /// large regions, glibc raises its mmap threshold, so later reps
+    /// `calloc` them from reused heap that must be zeroed by hand, which
+    /// makes every page resident. `MALLOC_MMAP_THRESHOLD_=131072` pins
+    /// the threshold (cell950: ~240 MiB instead of ~850 MiB).
     peak_rss_bytes: u64,
 }
 
@@ -137,6 +151,13 @@ struct Rep {
     alloc_bytes: u64,
     queue_hwm: u64,
     pool_len: u64,
+}
+
+/// Reset this process's peak RSS (`VmHWM`) to its current RSS, so the next
+/// [`peak_rss_bytes`] reading covers only what ran after the reset. A
+/// no-op where `/proc/self/clear_refs` is unavailable.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or 0
@@ -181,6 +202,7 @@ fn run_once(build: fn() -> Cell, sim_span: SimDuration) -> Rep {
 /// allocation counts, and queue/pool depths are deterministic across reps;
 /// wall time is not.
 fn run_workload(name: &'static str, build: fn() -> Cell, sim_span: SimDuration) -> Sample {
+    reset_peak_rss();
     let mut best: Option<Rep> = None;
     for i in 0..REPS {
         let rep = run_once(build, sim_span);

@@ -38,8 +38,9 @@ pub const BATCHED_SPAN: SimDuration = SimDuration::from_millis(2030);
 /// exactly the regime that used to livelock the config store (see
 /// `ConfigStoreNode` read coalescing). ~660K events, about a second per
 /// rep on a small CI box; the per-event cost is much higher than the
-/// small cells (4.3GiB of host state blows every cache), which is the
-/// point of gating on it.
+/// small cells (a lone cell950 process holds ~116 MiB after setup and
+/// peaks near 240 MiB over this span, far past any CPU cache), which is
+/// the point of gating on it.
 pub const CELL950_SPAN: SimDuration = SimDuration::from_millis(50);
 
 /// F8-style Ads cell: batched production GETs + steady SETs with backfill

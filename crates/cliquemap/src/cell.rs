@@ -316,7 +316,7 @@ impl Cell {
 
         // Install the real configuration.
         let config = CellConfig {
-            config_id: 1,
+            config_id: crate::layout::FIRST_CONFIG_ID,
             replication: spec.replication,
             shards: backends.iter().map(|n| n.0).collect(),
             spares: spares.iter().map(|n| n.0).collect(),
@@ -1019,7 +1019,7 @@ mod tests {
         let mut cfg2 = BackendCfg {
             store: crate::store::StoreCfg {
                 shard,
-                config_id: 1,
+                config_id: crate::layout::FIRST_CONFIG_ID,
                 ..small_spec(LookupStrategy::TwoR, ReplicationMode::R32)
                     .backend
                     .store

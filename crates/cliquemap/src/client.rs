@@ -1618,11 +1618,10 @@ impl ClientNode {
                 self.memo.remember(&key, version);
                 self.note_access(op_id);
                 if let Some(cache) = self.ccache.as_mut() {
-                    // Lease-cache fill: the stored value shares the pooled
-                    // inbound frame (refcount bump, no copy).
-                    cache.insert(hash, version, value, ctx.now());
-                } else {
-                    let _ = value;
+                    // Lease-cache fill: the cache keeps an exact-length
+                    // copy, so the pooled inbound frame the value was
+                    // sliced from goes back to its pool.
+                    cache.insert(hash, version, &value, ctx.now());
                 }
                 ctx.metrics().add_id(self.m().get_hits, 1);
                 self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
@@ -2111,7 +2110,7 @@ impl ClientNode {
                     MutationKind::Erase => {
                         cache.invalidate(hash);
                     }
-                    _ => cache.insert(hash, version, value, ctx.now()),
+                    _ => cache.insert(hash, version, &value, ctx.now()),
                 }
             }
             ctx.metrics().add_id(self.m().set_acked, 1);
@@ -2485,7 +2484,7 @@ impl ClientNode {
             Status::Ok => {
                 self.memo.remember(&key, version);
                 if let Some(cache) = self.ccache.as_mut() {
-                    cache.insert(hash, version, value, ctx.now());
+                    cache.insert(hash, version, &value, ctx.now());
                 }
                 ctx.metrics().add_id(self.m().get_hits, 1);
                 self.complete_op(ctx, op_id, OpOutcome::Hit, ctx.now());
@@ -2599,7 +2598,7 @@ impl ClientNode {
                     let key = resp.key.clone();
                     self.memo.remember(&key, resp.version);
                     if let Some(cache) = self.ccache.as_mut() {
-                        cache.insert(hash, resp.version, resp.value.clone(), ctx.now());
+                        cache.insert(hash, resp.version, &resp.value, ctx.now());
                     }
                     ctx.metrics().add_id(self.m().get_hits, 1);
                     ctx.metrics().add_id(self.m().get_overflow_hits, 1);

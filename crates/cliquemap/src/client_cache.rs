@@ -9,8 +9,10 @@
 //!
 //! * **hit** — lease unexpired: the GET completes locally, touching no
 //!   backend. The hit path allocates nothing: the LRU is an intrusive
-//!   index-linked list over preallocated slots, and the stored value is a
-//!   refcount bump on the pooled inbound frame it was sliced from.
+//!   index-linked list over slots. Slots and map entries are allocated on
+//!   first use, up to `capacity`, so a client that caches a few keys pays
+//!   for a few. The stored value is an exact-length copy made at insert,
+//!   so the pooled inbound frame it came from goes back to its pool.
 //! * **stale** — entry present, lease expired: the client runs a normal
 //!   quorum GET; if the read quorum's version equals the cached version the
 //!   entry is *validated* (lease renewed, served from cache — on the 2×R
@@ -35,7 +37,7 @@ use crate::version::VersionNumber;
 /// Client-cache configuration.
 #[derive(Debug, Clone)]
 pub struct ClientCacheCfg {
-    /// Maximum resident entries (slots are preallocated).
+    /// Maximum resident entries (slots are allocated on first use).
     pub capacity: usize,
     /// Lease TTL in sim time.
     pub lease_ttl: SimDuration,
@@ -99,9 +101,10 @@ struct Slot {
     next: u32,
 }
 
-/// Bounded LRU lease cache. All operations are O(1); none allocate after
-/// construction (slots, free list, and the hash map are preallocated; map
-/// churn reuses its capacity).
+/// Bounded LRU lease cache. All operations are O(1). Inserts allocate the
+/// value copy, and a slot and map room until `capacity` entries have been
+/// resident at once; a full cache reuses its LRU victim's slot. Lookups,
+/// validations and invalidations never allocate.
 #[derive(Debug)]
 pub struct ClientCache {
     cfg: ClientCacheCfg,
@@ -115,26 +118,12 @@ pub struct ClientCache {
 }
 
 impl ClientCache {
-    /// Build a cache with `cfg.capacity` preallocated slots.
+    /// Build an empty cache holding at most `cfg.capacity` entries.
     pub fn new(cfg: ClientCacheCfg) -> ClientCache {
-        let cap = cfg.capacity.max(1);
-        let mut slots = Vec::with_capacity(cap);
-        let mut free = Vec::with_capacity(cap);
-        for i in 0..cap {
-            slots.push(Slot {
-                hash: 0,
-                version: VersionNumber::ZERO,
-                value: Bytes::new(),
-                lease: SimTime(0),
-                prev: NIL,
-                next: NIL,
-            });
-            free.push((cap - 1 - i) as u32);
-        }
         ClientCache {
-            map: HashMap::with_capacity(cap * 2),
-            slots,
-            free,
+            map: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
@@ -221,12 +210,13 @@ impl ClientCache {
     }
 
     /// Install (or refresh) `hash` at `version`, leasing until
-    /// `now + lease_ttl`. Oversized values are ignored. A refresh never
-    /// regresses the version: VersionNumbers totally order mutations
-    /// (backends resolve arrival races the same way), so a slow GET that
-    /// read the pre-mutation value must not clobber the owner's newer
-    /// write-through — it only renews the lease of the newer entry.
-    pub fn insert(&mut self, hash: KeyHash, version: VersionNumber, value: Bytes, now: SimTime) {
+    /// `now + lease_ttl` and storing an owned copy of `value`. Oversized
+    /// values are ignored. A refresh never regresses the version:
+    /// VersionNumbers totally order mutations (backends resolve arrival
+    /// races the same way), so a slow GET that read the pre-mutation value
+    /// must not clobber the owner's newer write-through — it only renews
+    /// the lease of the newer entry.
+    pub fn insert(&mut self, hash: KeyHash, version: VersionNumber, value: &[u8], now: SimTime) {
         if value.len() > self.cfg.max_value_len {
             return;
         }
@@ -237,7 +227,7 @@ impl ClientCache {
                 return;
             }
             s.version = version;
-            s.value = value;
+            s.value = Bytes::copy_from_slice(value);
             s.lease = lease;
             self.unlink(slot);
             self.push_front(slot);
@@ -246,6 +236,17 @@ impl ClientCache {
         }
         let slot = match self.free.pop() {
             Some(slot) => slot,
+            None if self.slots.len() < self.cfg.capacity.max(1) => {
+                self.slots.push(Slot {
+                    hash: 0,
+                    version: VersionNumber::ZERO,
+                    value: Bytes::new(),
+                    lease: SimTime(0),
+                    prev: NIL,
+                    next: NIL,
+                });
+                (self.slots.len() - 1) as u32
+            }
             None => {
                 // Capacity: displace the LRU tail.
                 let victim = self.tail;
@@ -261,7 +262,7 @@ impl ClientCache {
             let s = &mut self.slots[slot as usize];
             s.hash = hash;
             s.version = version;
-            s.value = value;
+            s.value = Bytes::copy_from_slice(value);
             s.lease = lease;
         }
         self.map.insert(hash, slot);
@@ -294,7 +295,7 @@ impl ClientCache {
             return false;
         };
         self.unlink(slot);
-        self.slots[slot as usize].value = Bytes::new(); // release pooled frame
+        self.slots[slot as usize].value = Bytes::new(); // free the value now
         self.free.push(slot);
         self.stats.invalidations += 1;
         true
@@ -324,7 +325,7 @@ mod tests {
     #[test]
     fn hit_within_lease_stale_after() {
         let mut c = cache(4, 10);
-        c.insert(1, v(5), Bytes::from_static(b"x"), at_ms(0));
+        c.insert(1, v(5), b"x", at_ms(0));
         assert_eq!(c.lookup(1, at_ms(5)), Lookup::Hit(v(5)));
         assert_eq!(c.lookup(1, at_ms(15)), Lookup::Stale(v(5)));
         assert_eq!(c.lookup(2, at_ms(5)), Lookup::Miss);
@@ -333,7 +334,7 @@ mod tests {
     #[test]
     fn validate_renews_lease_only_on_version_match() {
         let mut c = cache(4, 10);
-        c.insert(1, v(5), Bytes::from_static(b"x"), at_ms(0));
+        c.insert(1, v(5), b"x", at_ms(0));
         assert!(!c.validate(1, v(6), at_ms(15)), "newer version: no renew");
         assert!(c.validate(1, v(5), at_ms(15)));
         assert_eq!(c.lookup(1, at_ms(20)), Lookup::Hit(v(5)));
@@ -344,12 +345,12 @@ mod tests {
     #[test]
     fn invalidate_drops_and_reuses_slot() {
         let mut c = cache(2, 10);
-        c.insert(1, v(1), Bytes::from_static(b"a"), at_ms(0));
+        c.insert(1, v(1), b"a", at_ms(0));
         assert!(c.invalidate(1));
         assert!(!c.invalidate(1), "second invalidate is a no-op");
         assert_eq!(c.lookup(1, at_ms(1)), Lookup::Miss);
-        c.insert(2, v(2), Bytes::from_static(b"b"), at_ms(1));
-        c.insert(3, v(3), Bytes::from_static(b"c"), at_ms(1));
+        c.insert(2, v(2), b"b", at_ms(1));
+        c.insert(3, v(3), b"c", at_ms(1));
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats.evictions, 0, "freed slot reused, no eviction");
     }
@@ -357,15 +358,50 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = cache(2, 100);
-        c.insert(1, v(1), Bytes::from_static(b"a"), at_ms(0));
-        c.insert(2, v(2), Bytes::from_static(b"b"), at_ms(1));
+        c.insert(1, v(1), b"a", at_ms(0));
+        c.insert(2, v(2), b"b", at_ms(1));
         // Touch 1 so 2 becomes LRU.
         assert_eq!(c.lookup(1, at_ms(2)), Lookup::Hit(v(1)));
-        c.insert(3, v(3), Bytes::from_static(b"c"), at_ms(3));
+        c.insert(3, v(3), b"c", at_ms(3));
         assert_eq!(c.lookup(2, at_ms(4)), Lookup::Miss, "LRU displaced");
         assert_eq!(c.lookup(1, at_ms(4)), Lookup::Hit(v(1)));
         assert_eq!(c.lookup(3, at_ms(4)), Lookup::Hit(v(3)));
         assert_eq!(c.stats.evictions, 1);
+
+        // An invalidate before the cache first fills frees a slot; once
+        // full, the LRU entry is still the one displaced.
+        let mut c = cache(3, 100);
+        c.insert(1, v(1), b"a", at_ms(0));
+        c.insert(2, v(2), b"b", at_ms(1));
+        assert!(c.invalidate(1));
+        c.insert(3, v(3), b"c", at_ms(2));
+        c.insert(4, v(4), b"d", at_ms(3));
+        assert_eq!((c.len(), c.stats.evictions), (3, 0));
+        c.insert(5, v(5), b"e", at_ms(4));
+        assert_eq!(c.lookup(2, at_ms(5)), Lookup::Miss, "LRU displaced");
+        for k in 3..=5 {
+            assert_eq!(c.lookup(k, at_ms(5)), Lookup::Hit(v(k as u64)));
+        }
+        assert_eq!(c.stats.evictions, 1);
+    }
+
+    #[test]
+    fn cached_value_does_not_pin_its_frame() {
+        let pool = bytes::Pool::new();
+        let mut buf = pool.get(2048);
+        buf.extend_from_slice(&[7u8; 1500]);
+        let frame = buf.freeze();
+        let mut c = cache(4, 10);
+        c.insert(1, v(1), &frame.slice(100..1124), at_ms(0));
+        let recycles = pool.stats().recycles;
+        drop(frame);
+        assert_eq!(
+            pool.stats().recycles,
+            recycles + 1,
+            "frame back in its pool"
+        );
+        let (_, val, _) = c.peek(1).unwrap();
+        assert_eq!(&val[..], &[7u8; 1024][..]);
     }
 
     #[test]
@@ -375,7 +411,7 @@ mod tests {
             lease_ttl: SimDuration::from_millis(10),
             max_value_len: 4,
         });
-        c.insert(1, v(1), Bytes::from(vec![0u8; 64]), at_ms(0));
+        c.insert(1, v(1), &[0u8; 64], at_ms(0));
         assert_eq!(c.lookup(1, at_ms(1)), Lookup::Miss);
     }
 
@@ -383,7 +419,7 @@ mod tests {
     fn stats_reconcile() {
         let mut c = cache(8, 10);
         for i in 0..5u128 {
-            c.insert(i, v(1), Bytes::from_static(b"x"), at_ms(0));
+            c.insert(i, v(1), b"x", at_ms(0));
         }
         let mut n = 0;
         for i in 0..10u128 {
@@ -405,21 +441,21 @@ mod tests {
         // A slow quorum GET that read the pre-mutation value completes
         // after the owner's write-through: its insert must lose.
         let mut c = cache(2, 10);
-        c.insert(1, v(9), Bytes::from_static(b"new"), at_ms(0));
-        c.insert(1, v(3), Bytes::from_static(b"old"), at_ms(1));
+        c.insert(1, v(9), b"new", at_ms(0));
+        c.insert(1, v(3), b"old", at_ms(1));
         let (ver, val, _) = c.peek(1).unwrap();
         assert_eq!(ver, v(9));
         assert_eq!(&val[..], b"new");
         // Equal version refreshes the lease (validation by value).
-        c.insert(1, v(9), Bytes::from_static(b"new"), at_ms(5));
+        c.insert(1, v(9), b"new", at_ms(5));
         assert_eq!(c.lookup(1, at_ms(14)), Lookup::Hit(v(9)));
     }
 
     #[test]
     fn reinsert_updates_in_place() {
         let mut c = cache(2, 10);
-        c.insert(1, v(1), Bytes::from_static(b"a"), at_ms(0));
-        c.insert(1, v(2), Bytes::from_static(b"b"), at_ms(1));
+        c.insert(1, v(1), b"a", at_ms(0));
+        c.insert(1, v(2), b"b", at_ms(1));
         assert_eq!(c.len(), 1);
         let (ver, val, _) = c.peek(1).unwrap();
         assert_eq!(ver, v(2));

@@ -10,7 +10,8 @@
 //! ```text
 //! IndexEntry (52B):  key_hash u128 | version u128 | ptr{window u32,
 //!                    generation u32, offset u64, len u32}
-//! Bucket:            header{config_id u32, flags u8, pad[3]} | entries[A]
+//! Bucket:            header{config_id ^ FIRST_CONFIG_ID u32, flags u8,
+//!                    pad[3]} | entries[A]
 //! DataEntry:         key_len u16 | data_len u32 | version u128 |
 //!                    key[key_len] | data[data_len] | checksum u64
 //! ```
@@ -32,6 +33,8 @@ pub const DATA_ENTRY_HEADER_BYTES: usize = 2 + 4 + 16;
 pub const CHECKSUM_BYTES: usize = 8;
 /// Bucket flag bit: set when the bucket has overflowed (RPC fallback hint).
 pub const BUCKET_FLAG_OVERFLOW: u8 = 0x01;
+/// Config id of a cell's first configuration.
+pub const FIRST_CONFIG_ID: u32 = 1;
 
 /// Total serialized size of a DataEntry holding `key_len` + `data_len`.
 pub fn data_entry_size(key_len: usize, data_len: usize) -> usize {
@@ -108,13 +111,22 @@ impl IndexEntry {
 }
 
 /// Read a bucket's config id from its header.
+///
+/// The header stores `config_id ^ FIRST_CONFIG_ID`, so the all-zero header
+/// of a never-written index page decodes as the first configuration: a
+/// fresh store need not touch (and fault in) its index region to stamp it.
 pub fn bucket_config_id(bucket: &[u8]) -> u32 {
-    u32::from_le_bytes(bucket[0..4].try_into().unwrap())
+    u32::from_le_bytes(bucket[0..4].try_into().unwrap()) ^ FIRST_CONFIG_ID
 }
 
-/// Write a bucket's config id.
+/// The stored form of `config_id`: the first 4 bytes of a bucket header.
+pub fn config_id_bytes(config_id: u32) -> [u8; 4] {
+    (config_id ^ FIRST_CONFIG_ID).to_le_bytes()
+}
+
+/// Write a bucket's config id, leaving the flags byte alone.
 pub fn set_bucket_config_id(bucket: &mut [u8], config_id: u32) {
-    bucket[0..4].copy_from_slice(&config_id.to_le_bytes());
+    bucket[0..4].copy_from_slice(&config_id_bytes(config_id));
 }
 
 /// Read a bucket's flags byte.
@@ -285,15 +297,27 @@ mod tests {
 
     #[test]
     fn bucket_header_fields() {
-        let mut bucket = vec![0u8; bucket_size(4)];
-        set_bucket_config_id(&mut bucket, 77);
-        assert_eq!(bucket_config_id(&bucket), 77);
-        assert!(!bucket_overflowed(&bucket));
-        set_bucket_overflow(&mut bucket, true);
-        assert!(bucket_overflowed(&bucket));
-        set_bucket_overflow(&mut bucket, false);
-        assert!(!bucket_overflowed(&bucket));
-        assert_eq!(bucket_assoc(&bucket), 4);
+        for id in [0, 1, 2, 77, u32::MAX] {
+            let mut bucket = vec![0u8; bucket_size(4)];
+            set_bucket_config_id(&mut bucket, id);
+            assert_eq!(bucket_config_id(&bucket), id);
+            assert!(!bucket_overflowed(&bucket));
+            set_bucket_overflow(&mut bucket, true);
+            assert!(bucket_overflowed(&bucket));
+            set_bucket_config_id(&mut bucket, id ^ 1);
+            assert!(bucket_overflowed(&bucket), "a restamp keeps the flags");
+            assert_eq!(bucket_config_id(&bucket), id ^ 1);
+            set_bucket_overflow(&mut bucket, false);
+            assert!(!bucket_overflowed(&bucket));
+            assert_eq!(bucket_config_id(&bucket), id ^ 1);
+            assert_eq!(bucket_assoc(&bucket), 4);
+        }
+    }
+
+    #[test]
+    fn zeroed_bucket_decodes_as_first_config() {
+        let bucket = vec![0u8; bucket_size(4)];
+        assert_eq!(bucket_config_id(&bucket), FIRST_CONFIG_ID);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl Default for StoreCfg {
     fn default() -> Self {
         StoreCfg {
             shard: 0,
-            config_id: 1,
+            config_id: layout::FIRST_CONFIG_ID,
             num_buckets: 1024,
             assoc: 14,
             data_capacity: 16 << 20,
@@ -190,7 +190,7 @@ impl BackendStore {
             overflow_order: std::collections::VecDeque::new(),
             stats: StoreStats::default(),
         };
-        store.stamp_all_buckets();
+        store.stamp_fresh_index();
         store
     }
 
@@ -198,17 +198,29 @@ impl BackendStore {
         bucket_size(self.cfg.assoc as usize)
     }
 
-    /// Stamp the config id into every bucket header, preserving the flags
-    /// byte (the overflow hint must survive restamps).
-    fn stamp_all_buckets(&mut self) {
-        let bb = self.bucket_bytes();
-        for b in 0..self.num_buckets {
-            self.regions.write(
-                self.index_buffer,
-                b as usize * bb,
-                &self.cfg.config_id.to_le_bytes(),
-            );
+    /// Stamp the config id into a freshly allocated, all-zero index. Zero
+    /// headers already decode as [`layout::FIRST_CONFIG_ID`], so under the
+    /// first configuration this neither reads nor writes the index: even a
+    /// read would fault in every page, and most buckets are never used.
+    fn stamp_fresh_index(&mut self) {
+        if self.cfg.config_id != layout::FIRST_CONFIG_ID {
+            self.stamp_all_buckets();
         }
+    }
+
+    /// Stamp the config id into every bucket header.
+    fn stamp_all_buckets(&mut self) {
+        for b in 0..self.num_buckets {
+            self.stamp_bucket(b);
+        }
+    }
+
+    /// Write the config id into one bucket header without reading it,
+    /// preserving the flags byte (the overflow hint must survive restamps).
+    fn stamp_bucket(&mut self, bucket: u64) {
+        let at = bucket as usize * self.bucket_bytes();
+        let config_id = layout::config_id_bytes(self.cfg.config_id);
+        self.regions.write(self.index_buffer, at, &config_id);
     }
 
     /// Re-derive overflow hint bits from the overflow side table (used
@@ -265,15 +277,14 @@ impl BackendStore {
     }
 
     fn set_overflow(&mut self, bucket: u64, overflowed: bool) {
-        let bb = self.bucket_bytes();
-        let at = bucket as usize * bb + 4;
-        let flags = self.bucket_raw(bucket)[4];
-        let new = if overflowed {
-            flags | layout::BUCKET_FLAG_OVERFLOW
-        } else {
-            flags & !layout::BUCKET_FLAG_OVERFLOW
-        };
-        self.regions.write(self.index_buffer, at, &[new]);
+        let at = bucket as usize * self.bucket_bytes();
+        let mut header: [u8; layout::BUCKET_HEADER_BYTES] = self
+            .regions
+            .read_buffer(self.index_buffer, at, layout::BUCKET_HEADER_BYTES)
+            .try_into()
+            .expect("slice length");
+        layout::set_bucket_overflow(&mut header, overflowed);
+        self.regions.write(self.index_buffer, at, &header);
     }
 
     /// Look up an index entry by hash (server-side, no RMA semantics).
@@ -312,6 +323,11 @@ impl BackendStore {
         if self.resizing {
             return Err(Status::Stalled);
         }
+        // Every header already holds the config id, so this changes no
+        // byte. It makes the first touch of a fresh index page a write (one
+        // page fault) rather than the lookup's read, which would map the
+        // shared zero page and fault again on the slot write.
+        self.stamp_bucket(self.bucket_of(hash));
         let floor = self.version_floor(hash);
         if version <= floor {
             self.stats.version_rejects += 1;
@@ -708,7 +724,7 @@ impl BackendStore {
         self.index_buffer = new_buffer;
         self.index_window = new_window;
         self.num_buckets = new_buckets;
-        self.stamp_all_buckets();
+        self.stamp_fresh_index();
         for e in live {
             let bucket = self.bucket_of(e.key_hash);
             let slot = layout::find_vacant(self.bucket_raw(bucket))
@@ -927,8 +943,13 @@ mod tests {
     use crate::policy::LruPolicy;
 
     fn small_store() -> BackendStore {
+        small_store_at(layout::FIRST_CONFIG_ID)
+    }
+
+    fn small_store_at(config_id: u32) -> BackendStore {
         BackendStore::new(
             StoreCfg {
+                config_id,
                 num_buckets: 16,
                 assoc: 4,
                 data_capacity: 64 << 10,
@@ -1270,15 +1291,24 @@ mod tests {
 
     #[test]
     fn config_id_restamp() {
-        let mut s = small_store();
-        do_set(&mut s, b"k", b"v", v(1));
-        s.set_config_id(99);
-        let hash = DefaultHasher.hash(b"k");
-        let bucket = s.bucket_of(hash);
-        assert_eq!(layout::bucket_config_id(s.bucket_raw(bucket)), 99);
-        // Restamping must not clobber entries.
-        assert!(s.fetch(hash).is_some());
-        assert_eq!(s.geometry().config_id, 99);
+        for built_with in [layout::FIRST_CONFIG_ID, 7] {
+            let mut s = small_store_at(built_with);
+            for b in 0..s.num_buckets {
+                assert_eq!(layout::bucket_config_id(s.bucket_raw(b)), built_with);
+            }
+            do_set(&mut s, b"k", b"v", v(1));
+            let hash = DefaultHasher.hash(b"k");
+            let bucket = s.bucket_of(hash);
+            s.set_overflow(bucket, true);
+            s.set_config_id(99);
+            for b in 0..s.num_buckets {
+                assert_eq!(layout::bucket_config_id(s.bucket_raw(b)), 99);
+            }
+            // Restamping must not clobber entries or the overflow hint.
+            assert!(layout::bucket_overflowed(s.bucket_raw(bucket)));
+            assert!(s.fetch(hash).is_some());
+            assert_eq!(s.geometry().config_id, 99);
+        }
     }
 
     #[test]
