@@ -496,11 +496,6 @@ impl Controller {
     pub fn probes(&self) -> u64 {
         self.probes
     }
-
-    /// Replicas currently demoted.
-    pub fn demoted_now(&self) -> u64 {
-        self.health.values().filter(|h| h.broken != 0).count() as u64
-    }
 }
 
 #[cfg(test)]

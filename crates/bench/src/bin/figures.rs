@@ -12,6 +12,10 @@
 //! given substring (`--filter f1` runs f10..f19 and f1-prefixed ids), and
 //! may be repeated; it composes with explicitly named ids.
 //!
+//! Extra artifacts an experiment attaches (the trace figure's
+//! `trace_chrome.json`) go beside the CSVs with `--csv DIR`; without it
+//! they go to `results/` when that directory exists (the workspace root).
+//!
 //! Experiments are independent, deterministic simulations; `--jobs N` runs
 //! them on N threads without changing any result. The default is one job
 //! per available core; pass `--jobs 1` for serial runs.
@@ -85,6 +89,12 @@ fn main() {
             });
         }
     });
+    let files_dir = match &csv_dir {
+        Some(dir) => Some(dir.as_str()),
+        None => std::path::Path::new("results")
+            .is_dir()
+            .then_some("results"),
+    };
     let mut reports = reports.into_inner().unwrap();
     reports.sort_by_key(|(order, _, _)| *order);
     for (_, report, secs) in &reports {
@@ -93,6 +103,11 @@ fn main() {
         if let Some(dir) = &csv_dir {
             let path = format!("{dir}/{}.csv", report.id);
             std::fs::write(&path, report.to_csv()).expect("write csv");
+        }
+        if let Some(dir) = files_dir {
+            for (name, contents) in &report.files {
+                std::fs::write(format!("{dir}/{name}"), contents).expect("write artifact");
+            }
         }
     }
 }

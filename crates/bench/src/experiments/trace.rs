@@ -16,8 +16,9 @@
 //! annotations stamped at sub-op issue time name it.
 //!
 //! The worst ops' full traces are exported as Chrome trace-event JSON
-//! (`results/trace_chrome.json` when run from the workspace root; load it
-//! in `chrome://tracing` or Perfetto).
+//! (`trace_chrome.json` beside the CSVs with `figures --csv DIR`, else in
+//! `results/` when run from the workspace root; load it in
+//! `chrome://tracing` or Perfetto).
 
 use obs::event::stage;
 use obs::{attribute, Attribution, OpTrace, Postmortem, Sketch, Verdict};
@@ -205,16 +206,13 @@ pub fn render(tr: &TraceRun) -> Report {
     report
 }
 
-/// Regenerate the trace figure, and — when run from the workspace root —
-/// drop the slow ops' Chrome trace (`chrome://tracing` / Perfetto) next to
-/// the CSVs.
+/// Regenerate the trace figure, with the slow ops' Chrome trace
+/// (`chrome://tracing` / Perfetto) attached as `trace_chrome.json`.
 pub fn run() -> Report {
     let tr = collect(99, SimDuration::from_millis(340));
-    let report = render(&tr);
+    let mut report = render(&tr);
     let json = obs::chrome_trace_json(&tr.slow);
-    if std::path::Path::new("results").is_dir() {
-        std::fs::write("results/trace_chrome.json", &json).expect("write chrome trace");
-    }
+    report.files.push(("trace_chrome.json".to_string(), json));
     report
 }
 

@@ -20,6 +20,8 @@ pub struct Report {
     pub title: String,
     /// The regenerated series, one row per line.
     pub lines: Vec<String>,
+    /// Extra artifacts `(file name, contents)` written beside the CSV.
+    pub files: Vec<(String, String)>,
 }
 
 impl Report {
@@ -29,6 +31,7 @@ impl Report {
             id: id.to_string(),
             title: title.to_string(),
             lines: Vec::new(),
+            files: Vec::new(),
         }
     }
 

@@ -412,25 +412,10 @@ pub fn encode_batch_read_resp(r: &BatchReadResp) -> Bytes {
     b.freeze()
 }
 
-/// Encode a batched read response into a pooled buffer — the server's
-/// single-copy path (one frame for the whole status vector).
-pub fn encode_batch_read_resp_parts(op_id: u64, entries: &[BatchDone], pool: &Pool) -> Bytes {
-    let mut b = pool.get(batch_done_len(entries));
-    write_batch_done(&mut b, KIND_BATCH_READ_RESP, op_id, entries);
-    b.freeze()
-}
-
 /// Encode a batched SCAR response.
 pub fn encode_batch_scar_resp(r: &BatchScarResp) -> Bytes {
     let mut b = BytesMut::with_capacity(batch_done_len(&r.entries));
     write_batch_done(&mut b, KIND_BATCH_SCAR_RESP, r.op_id, &r.entries);
-    b.freeze()
-}
-
-/// Encode a batched SCAR response into a pooled buffer.
-pub fn encode_batch_scar_resp_parts(op_id: u64, entries: &[BatchDone], pool: &Pool) -> Bytes {
-    let mut b = pool.get(batch_done_len(entries));
-    write_batch_done(&mut b, KIND_BATCH_SCAR_RESP, op_id, entries);
     b.freeze()
 }
 

@@ -79,11 +79,6 @@ impl RegionTable {
         self.buffers[id.0 as usize].data = vec![0; new_len];
     }
 
-    /// Current populated length of a buffer.
-    pub fn buffer_len(&self, id: BufferId) -> usize {
-        self.buffers[id.0 as usize].data.len()
-    }
-
     /// Total resident bytes across all buffers (Fig. 3 accounting).
     pub fn resident_bytes(&self) -> u64 {
         self.buffers.iter().map(|b| b.data.len() as u64).sum()
@@ -125,11 +120,6 @@ impl RegionTable {
     /// Generation of a window (advertised to clients at connection time).
     pub fn window_generation(&self, id: WindowId) -> u32 {
         self.windows[id.0 as usize].generation
-    }
-
-    /// Registered length of a window.
-    pub fn window_len(&self, id: WindowId) -> u64 {
-        self.windows[id.0 as usize].len
     }
 
     /// Whether a window is currently serving.

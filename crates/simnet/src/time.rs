@@ -127,13 +127,6 @@ impl SimDuration {
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Integer division producing a rate-scaled duration; zero divisor
-    /// yields zero.
-    #[inline]
-    pub fn div_by(self, k: u64) -> SimDuration {
-        SimDuration(self.0.checked_div(k).unwrap_or(0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
